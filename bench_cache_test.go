@@ -8,14 +8,13 @@ package mdhf
 // the baseline throughput with byte-identical results, asserts appends
 // mid-benchmark invalidate only the entries whose fragments they touch,
 // and sweeps the hot fraction against a pool sized below the total
-// working set. The measured numbers are written to BENCH_cache.json.
+// working set. With -write-bench (see
+// writeBenchReport) the measured numbers are written to BENCH_cache.json.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -259,13 +258,7 @@ func BenchmarkCachedServing(b *testing.B) {
 		}
 	})
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cache.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchReport(b, "BENCH_cache.json", report)
 	fmt.Printf("BENCH_cache.json: uncached %.0f q/s, cached cold %.0f q/s, warm %.0f q/s (%.1fx); pool hit rate %.2f, result hit rate %.2f\n",
 		report.UncachedQPS, report.CachedColdQPS, report.CachedWarmQPS, report.WarmSpeedup,
 		report.PoolHitRateWarm, report.ResultHitRateWarm)

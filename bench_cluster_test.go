@@ -5,14 +5,12 @@ package mdhf
 // (200µs per access), 16 concurrent query streams over the cache
 // benchmark's skewed 80%-hot-quarter mix, at 1, 2, 4 and 8 in-process
 // nodes. Throughput (q/s) and p95 latency per node count are written to
-// BENCH_cluster.json; every result is cross-checked against the
+// BENCH_cluster.json under -write-bench (see writeBenchReport); every result is cross-checked against the
 // single-node warehouse oracle.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"sort"
 	"sync"
@@ -161,13 +159,7 @@ func BenchmarkClusterServing(b *testing.B) {
 	if len(report.Points) == 4 && report.Points[0].QPS > 0 {
 		report.Speedup8x = report.Points[3].QPS / report.Points[0].QPS
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cluster.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchReport(b, "BENCH_cluster.json", report)
 	fmt.Printf("BENCH_cluster.json: %d-row shardset, %dµs disks, %d streams; ", report.BaseRows, report.IODelayUs, report.Streams)
 	for _, p := range report.Points {
 		fmt.Printf("n=%d %.0f q/s p95 %dµs; ", p.Nodes, p.QPS, p.P95Us)

@@ -5,14 +5,13 @@ package mdhf
 // skewed hot-quarter mix): it measures the checksum+retry machinery's
 // overhead against the same warehouse with verification disabled
 // (asserted <= 5%), then the throughput and equivalence of the same mix
-// under a seeded 2% transient-fault + corrupt-page plan. The measured
-// numbers are written to BENCH_faults.json.
+// under a seeded 2% transient-fault + corrupt-page plan. With
+// -write-bench (see writeBenchReport) the measured numbers are written to
+// BENCH_faults.json.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -152,13 +151,7 @@ func BenchmarkFaultTolerance(b *testing.B) {
 		}
 	})
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_faults.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchReport(b, "BENCH_faults.json", report)
 	fmt.Printf("BENCH_faults.json: verify-off %.0f q/s, verify-on %.0f q/s (%.1f%% overhead); 2%%+2%% faults %.0f q/s (%.1f%% slower, %d injected, %d retries)\n",
 		report.VerifyOffQPS, report.VerifyOnQPS, report.ChecksumOverheadPct,
 		report.FaultedQPS, report.FaultedSlowdownPct, report.InjectedFaults, report.Retries)

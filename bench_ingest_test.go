@@ -4,17 +4,16 @@ package mdhf
 // epoch-versioned warehouse: sustained append throughput while 4 query
 // streams keep serving and background compaction bounds the live delta
 // set, then the per-query cost of folding a fixed delta load against the
-// same query after compaction folded it back into the base. The measured
-// numbers are written to BENCH_ingest.json (the first entry of the
+// same query after compaction folded it back into the base. With
+// -write-bench (see writeBenchReport) the measured numbers are written to
+// BENCH_ingest.json (the first entry of the
 // machine-readable perf history the ROADMAP asks for) so successive PRs
 // can compare like with like.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 )
@@ -168,13 +167,7 @@ func BenchmarkAppendWhileServing(b *testing.B) {
 	if report.QueryCompactNsOp > 0 {
 		report.DeltaOverheadPct = 100 * (report.QueryDeltaNsOp - report.QueryCompactNsOp) / report.QueryCompactNsOp
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_ingest.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchReport(b, "BENCH_ingest.json", report)
 	fmt.Printf("BENCH_ingest.json: append %.0f rows/sec (%d compactions), delta overhead %+.1f%% over %d live rows\n",
 		report.AppendRowsPerSec, report.Compactions, report.DeltaOverheadPct, report.DeltaRowsFolded)
 }

@@ -9,10 +9,36 @@ package mdhf
 // seconds per iteration; use -bench=Table for the fast subset.
 
 import (
+	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 
 	"repro/internal/experiments"
 )
+
+// writeBench makes the benchmarks that report to a committed
+// BENCH_*.json file rewrite it; plain and smoke runs leave the committed
+// files alone. For example:
+//
+//	go test -run '^$' -bench BenchmarkFaultTolerance . -args -write-bench
+var writeBench = flag.Bool("write-bench", false, "rewrite the committed BENCH_*.json files from this run")
+
+// writeBenchReport writes report as indented JSON to the named file when
+// -write-bench is set.
+func writeBenchReport(b *testing.B, name string, report any) {
+	b.Helper()
+	if !*writeBench {
+		return
+	}
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(name, append(out, '\n'), 0o644); err != nil {
+		b.Fatal(err)
+	}
+}
 
 // BenchmarkTable1Encoding regenerates Table 1: the hierarchical encoding of
 // the PRODUCT dimension (15 bits, dddllfffggcoooo).

@@ -10,14 +10,12 @@ package mdhf
 // offered rate regardless of completions. Every result is checked
 // byte-for-byte against the in-memory solo oracle while the clock runs,
 // and throughput plus p50/p95/p99 latency per point are written to
-// BENCH_serving.json.
+// BENCH_serving.json under -write-bench (see writeBenchReport).
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"sort"
 	"sync"
@@ -343,13 +341,7 @@ func BenchmarkServingTraffic(b *testing.B) {
 		})
 	}
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serving.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	writeBenchReport(b, "BENCH_serving.json", report)
 	fmt.Printf("BENCH_serving.json: %d rows, %d disks at %dµs, %d execs; ",
 		report.BaseRows, report.Disks, report.IODelayUs, report.Execs)
 	for _, p := range report.Points {

@@ -292,6 +292,7 @@ func (n *Node) Exec(ctx context.Context, req Request) (Response, error) {
 		return Response{}, n.nodeErr(err)
 	}
 	resp.IO = io
+	resp.Engine.FragmentsProcessed = int(io.Fragments)
 	resp.DeltaRows = io.DeltaRows
 	packPartial(&resp, p)
 	return resp, nil
@@ -373,6 +374,7 @@ func (n *Node) runSharedBatch(ctx context.Context, snap nodeSnap, items []Reques
 		}
 		resp := Response{Epoch: snap.epoch, Grouped: len(qs[i].GroupBy) > 0}
 		resp.IO = r.St
+		resp.Engine.FragmentsProcessed = int(r.St.Fragments)
 		resp.DeltaRows = r.St.DeltaRows
 		resp.Shared = r.Shared
 		packPartial(&resp, r.Part)

@@ -97,7 +97,9 @@ func (s *Slot) AddColsRange(cols Columns, lo, hi int) {
 }
 
 // AddLeaves folds one decoded tuple in: the row's leaf members per
-// dimension plus its measures (the storage executors' row shape).
+// dimension plus its measures (the storage executors' row shape). keys
+// is read only on the per-row grouping fallback and may be nil when the
+// slot has no group map.
 func (s *Slot) AddLeaves(keys []uint16, units, dollars, cost int64) {
 	s.Rows++
 	s.FP.Agg.AddRow(units, dollars, cost)

@@ -34,14 +34,18 @@ type BitmapFile struct {
 	spec     *frag.Spec
 	icfg     frag.IndexConfig
 	pageSize int
-	file     *os.File
-	descs    []BitmapDesc
-	// loc[fragID] is the first page of the fragment's bitmap block.
-	loc    map[int64]int64
-	rowsOf map[int64]int32
-	// fragPages[fragID][i] is the page count of the i-th bitmap fragment
-	// (all equal when uncompressed).
-	fragPages  map[int64][]int32
+	// file maps the bitmap file once it is fully written; every physical
+	// payload read copies out of it (see mmap.go).
+	file  *mappedFile
+	descs []BitmapDesc
+	// descIdx maps each stored descriptor to its position in descs.
+	descIdx map[BitmapDesc]int
+	rowsOf  map[int64]int32
+	// pageOff[fragID] holds the prefix sums of the page counts of the
+	// fragment's bitmap block: bitmap i occupies the absolute pages
+	// [pageOff[fragID][i], pageOff[fragID][i+1]) (equal-sized when
+	// uncompressed), so a payload read locates its pages in O(1).
+	pageOff    map[int64][]int64
 	compressed bool
 	layouts    []*bitmap.Layout
 	skipBits   []int // per dim: number of eliminated leading bits (encoded)
@@ -115,27 +119,28 @@ func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool
 		icfg:       icfg,
 		pageSize:   s.pageSize,
 		descs:      descs,
-		loc:        make(map[int64]int64, len(s.order)),
+		descIdx:    make(map[BitmapDesc]int, len(descs)),
 		rowsOf:     make(map[int64]int32, len(s.order)),
-		fragPages:  make(map[int64][]int32, len(s.order)),
+		pageOff:    make(map[int64][]int64, len(s.order)),
 		compressed: compress,
 		layouts:    layouts,
 		skipBits:   skip,
+	}
+	for i, d := range descs {
+		bf.descIdx[d] = i
 	}
 	f, err := os.Create(filepath.Join(dirPath, bitmapFileName))
 	if err != nil {
 		return nil, err
 	}
-	bf.file = f
 
 	var pageOff int64
 	keysPerDim := make([][]int32, len(star.Dims))
 	for _, id := range s.order {
 		locFact := s.dir[id]
 		rows := int(locFact.Rows)
-		bf.loc[id] = pageOff
 		bf.rowsOf[id] = locFact.Rows
-		pagesOf := make([]int32, 0, len(descs))
+		offs := make([]int64, 0, len(descs)+1)
 		// Materialise the fragment's dimension keys.
 		for d := range keysPerDim {
 			keysPerDim[d] = keysPerDim[d][:0]
@@ -172,10 +177,13 @@ func buildBitmaps(dirPath string, s *Store, icfg frag.IndexConfig, compress bool
 				f.Close()
 				return nil, fmt.Errorf("storage: writing bitmap pages of fragment %d: %w", id, err)
 			}
-			pagesOf = append(pagesOf, int32(pages))
+			offs = append(offs, pageOff)
 			pageOff += int64(pages)
 		}
-		bf.fragPages[id] = pagesOf
+		bf.pageOff[id] = append(offs, pageOff)
+	}
+	if bf.file, err = mapFile(f); err != nil {
+		return nil, err
 	}
 	return bf, nil
 }
@@ -265,12 +273,11 @@ func (bf *BitmapFile) NumBitmaps() int { return len(bf.descs) }
 // Descs returns the stored bitmap enumeration.
 func (bf *BitmapFile) Descs() []BitmapDesc { return bf.descs }
 
-// descIndex locates a descriptor's position in the enumeration.
+// descIndex locates a descriptor's position in the enumeration (-1 when
+// not stored).
 func (bf *BitmapFile) descIndex(want BitmapDesc) int {
-	for i, d := range bf.descs {
-		if d == want {
-			return i
-		}
+	if i, ok := bf.descIdx[want]; ok {
+		return i
 	}
 	return -1
 }
@@ -280,15 +287,7 @@ func (bf *BitmapFile) Compressed() bool { return bf.compressed }
 
 // TotalPages returns the total stored bitmap pages — the quantity WAH
 // compression reduces.
-func (bf *BitmapFile) TotalPages() int64 {
-	var t int64
-	for _, pagesOf := range bf.fragPages {
-		for _, p := range pagesOf {
-			t += int64(p)
-		}
-	}
-	return t
-}
+func (bf *BitmapFile) TotalPages() int64 { return int64(len(bf.sums)) }
 
 // readPayload reads the raw page-padded payload of bitmap di of the
 // fragment, consulting the buffer pool first when one is attached. data
@@ -298,16 +297,15 @@ func (bf *BitmapFile) TotalPages() int64 {
 // ent.Unpin() after decoding (the decode copies, so the pin is short).
 // Pool hit/miss accounting folds into st when non-nil.
 func (bf *BitmapFile) readPayload(ctx context.Context, buf []byte, fragID int64, di int, st *IOStats) (data, scratch []byte, pages int, ent *PoolEntry, err error) {
-	base, ok := bf.loc[fragID]
+	if bf.file.isClosed() {
+		return nil, buf, 0, nil, errClosedRead("bitmaps")
+	}
+	offs, ok := bf.pageOff[fragID]
 	if !ok {
 		return nil, buf, 0, nil, fmt.Errorf("storage: fragment %d has no bitmaps", fragID)
 	}
-	pagesOf := bf.fragPages[fragID]
-	off := base
-	for i := 0; i < di; i++ {
-		off += int64(pagesOf[i])
-	}
-	pages = int(pagesOf[di])
+	off := offs[di]
+	pages = int(offs[di+1] - off)
 	n := pages * bf.pageSize
 
 	if bf.pool != nil {
@@ -358,7 +356,7 @@ func (bf *BitmapFile) readPayloadAt(ctx context.Context, dst []byte, off int64, 
 				time.Sleep(time.Duration(d))
 			}
 		}
-		if _, err := bf.file.ReadAt(dst, byteOff); err != nil {
+		if err := bf.file.readAt(dst, byteOff); err != nil {
 			return fmt.Errorf("storage: reading bitmap %d of fragment %d at offset %d: %w", di, fragID, byteOff, err)
 		}
 		return nil
@@ -461,5 +459,6 @@ func (bf *BitmapFile) readCompressedInto(ctx context.Context, dst *bitmap.Compre
 	return dst, buf, pages, nil
 }
 
-// Close releases the underlying file.
-func (bf *BitmapFile) Close() error { return bf.file.Close() }
+// Close unmaps the bitmap file once in-flight reads finish. It is
+// idempotent; later reads fail with an error wrapping os.ErrClosed.
+func (bf *BitmapFile) Close() error { return bf.file.close() }

@@ -19,6 +19,10 @@ type IOStats struct {
 	BitmapPages int64
 	BitmapIOs   int64
 	RowsRead    int64
+	// Fragments counts the relevant fragments visited, one per fragment
+	// task (empty fragments included) — the count the in-memory engine
+	// reports as FragmentsProcessed.
+	Fragments int64
 	// DeltaRows counts appended (not yet compacted) rows aggregated from
 	// in-memory delta segments — rows served without any physical I/O.
 	DeltaRows int64
@@ -39,6 +43,7 @@ func (st *IOStats) Add(o IOStats) {
 	st.BitmapPages += o.BitmapPages
 	st.BitmapIOs += o.BitmapIOs
 	st.RowsRead += o.RowsRead
+	st.Fragments += o.Fragments
 	st.DeltaRows += o.DeltaRows
 	st.PoolHits += o.PoolHits
 	st.PoolMisses += o.PoolMisses
@@ -100,7 +105,7 @@ type acc struct {
 	st  IOStats
 }
 
-// tupleAcc accumulates one fragment's decoded tuples: the grand total
+// tupleAcc accumulates one fragment's stored tuples: the grand total
 // plus, on the per-row grouping fallback, the fragment-local group map.
 // The tuple's dimension keys carry the leaf members, so per-row grouping
 // needs no extra I/O — only the key arithmetic and map update.
@@ -110,17 +115,24 @@ type tupleAcc struct {
 	g      *kernel.Grouped
 	base   uint64
 	perRow []kernel.RowLevel
+	// keyBytes is the size of a tuple's key prefix (2·len(Dims)): the
+	// measures start that far into the tuple.
+	keyBytes int
 }
 
-func (a *tupleAcc) add(tp Tuple) {
-	a.agg.AddRow(int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
+// add folds the tuple at byte off of page in. The measures are read in
+// place; a dimension key is read only when the per-row grouping fallback
+// needs it.
+func (a *tupleAcc) add(page []byte, off int) {
+	u, d, c := measuresAt(page, off+a.keyBytes)
+	a.agg.AddRow(u, d, c)
 	a.st.RowsRead++
 	if a.g != nil {
 		key := a.base
 		for _, rl := range a.perRow {
-			key += uint64(int64(tp.Keys[rl.Dim])/rl.Div) * rl.Weight
+			key += uint64(int64(keyAt(page, off, rl.Dim))/rl.Div) * rl.Weight
 		}
-		a.g.AddRow(key, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
+		a.g.AddRow(key, u, d, c)
 	}
 }
 
@@ -129,7 +141,7 @@ func (a *tupleAcc) add(tp Tuple) {
 // fragments a worker touches and are reused for every later one, making
 // the fragment hot loop allocation-free once warm.
 type execScratch struct {
-	keys []uint16 // decodeTuple key buffer
+	keys []uint16 // decoded tuple keys (shared path, per-row grouping)
 	page []byte   // fact prefetch-granule buffer
 	bbuf []byte   // bitmap page buffer
 
@@ -287,6 +299,7 @@ func (e *Executor) executeAcc(ctx context.Context, q frag.Query, deltas kernel.D
 		if err := e.processFragment(ctx, ids[i], q, &p, sc, base, perRow); err != nil {
 			return partial{}, err
 		}
+		p.st.Fragments = 1
 		if !deltas.Empty() {
 			if sc.dsc == nil {
 				sc.dsc = frag.NewDeltaScratch()
@@ -344,7 +357,7 @@ func (e *Executor) processFragment(ctx context.Context, id int64, q frag.Query, 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	ta := &tupleAcc{agg: &p.fp.Agg, st: &p.st, base: base, perRow: perRow}
+	ta := &tupleAcc{agg: &p.fp.Agg, st: &p.st, base: base, perRow: perRow, keyBytes: e.store.tupleSize - measureBytes}
 	if len(perRow) != 0 {
 		ta.g = p.fp.Groups
 	}
@@ -538,9 +551,8 @@ func (e *Executor) scanWhole(ctx context.Context, id int64, loc FragLoc, ta *tup
 			}
 			off := p * e.store.pageSize
 			for i := 0; i < n; i++ {
-				var tp Tuple
-				tp, off = e.store.decodeTuple(buf, off, sc.keys)
-				ta.add(tp)
+				ta.add(buf, off)
+				off += e.store.tupleSize
 			}
 			remaining -= n
 		}
@@ -577,9 +589,7 @@ func (e *Executor) readHits(ctx context.Context, id int64, loc FragLoc, hits *bi
 		}
 		for r := hits.NextSet(rowLo); r >= 0 && r < rowHi; r = hits.NextSet(r + 1) {
 			pageIn := r/tpp - int(g.start)
-			off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-			tp, _ := e.store.decodeTuple(buf, off, sc.keys)
-			ta.add(tp)
+			ta.add(buf, pageIn*e.store.pageSize+(r%tpp)*e.store.tupleSize)
 		}
 	})
 }
@@ -632,9 +642,7 @@ func (e *Executor) readHitsCompressed(ctx context.Context, id int64, loc FragLoc
 				loaded = int(gr.start) / g
 			}
 			pageIn := r/tpp - loaded*g
-			off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-			tp, _ := e.store.decodeTuple(buf, off, sc.keys)
-			ta.add(tp)
+			ta.add(buf, pageIn*e.store.pageSize+(r%tpp)*e.store.tupleSize)
 		}
 	})
 	if readErr != nil {

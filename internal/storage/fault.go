@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,10 +235,10 @@ func (s faultSite) wrap(disk int, kind FaultKind, err error) *FaultError {
 // (applied inside the disk's critical section; nil disables injection
 // for this read); verify checks the buffer's checksums (nil when the
 // caller has none). Failed attempts back off and re-read; exhausted
-// reads strike the breaker; breaker-open and context errors return
-// immediately. ds may be nil (single implicit disk): no faults are
-// injected and no breaker applies, but verification and retries still
-// run under the default policy.
+// reads strike the breaker; breaker-open, closed-file and context
+// errors return immediately. ds may be nil (single implicit disk): no
+// faults are injected and no breaker applies, but verification and
+// retries still run under the default policy.
 func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite, read func() error, corrupt func(), verify func() error) error {
 	pol := DefaultRetryPolicy()
 	if ds != nil {
@@ -275,6 +276,10 @@ func retryRead(ctx context.Context, ds *DiskSet, disk, pages int, site faultSite
 			return nil
 		}
 		lastErr = err
+		if errors.Is(err, os.ErrClosed) {
+			// The file was closed under the read: no retry can clear it.
+			return err
+		}
 		var fe *FaultError
 		if errors.As(err, &fe) && (fe.Kind == FaultBreakerOpen || fe.Kind == FaultDiskFailed) {
 			// The disk is known dead (sticky failure or open breaker):

@@ -453,6 +453,23 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 				}
 			}
 
+			// The dimension keys are decoded only when some slot groups per
+			// row; otherwise every slot needs just the measures.
+			var keys []uint16
+			for k := range kslots {
+				if kslots[k].FP.Groups != nil {
+					keys = sc.sc.keys
+				}
+			}
+			keyBytes := e.store.tupleSize - measureBytes
+			readRow := func(r, start int, buf []byte) (units, dollars, cost int64) {
+				off := (r/tpp-start)*e.store.pageSize + (r%tpp)*e.store.tupleSize
+				if keys != nil {
+					decodeKeys(buf, off, keys)
+				}
+				return measuresAt(buf, off+keyBytes)
+			}
+
 			// One physical stream over the union granules feeds every slot.
 			// The pipe's counters land in phys: its Fact counters are the
 			// physical read set (the per-slot logical counts are already
@@ -480,24 +497,20 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 				}
 				if anyNil {
 					for r := rowLo; r < rowHi; r++ {
-						pageIn := r/tpp - int(gr.start)
-						off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-						tp, _ := e.store.decodeTuple(buf, off, sc.sc.keys)
+						u, d, c := readRow(r, int(gr.start), buf)
 						for k := range kslots {
 							if masks[k] == nil || masks[k].Get(r) {
-								kslots[k].AddLeaves(tp.Keys, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
+								kslots[k].AddLeaves(keys, u, d, c)
 							}
 						}
 					}
 					continue
 				}
 				for r := rowUnion.NextSet(rowLo); r >= 0 && r < rowHi; r = rowUnion.NextSet(r + 1) {
-					pageIn := r/tpp - int(gr.start)
-					off := pageIn*e.store.pageSize + (r%tpp)*e.store.tupleSize
-					tp, _ := e.store.decodeTuple(buf, off, sc.sc.keys)
+					u, d, c := readRow(r, int(gr.start), buf)
 					for k := range kslots {
 						if masks[k].Get(r) {
-							kslots[k].AddLeaves(tp.Keys, int64(tp.UnitsSold), int64(tp.DollarSales), int64(tp.Cost))
+							kslots[k].AddLeaves(keys, u, d, c)
 						}
 					}
 				}
@@ -513,6 +526,7 @@ func (e *Executor) ExecuteSharedDeltas(ctx context.Context, qs []frag.Query, del
 		for k, s := range members {
 			p := &out.parts[k]
 			p.st.RowsRead += kslots[k].Rows
+			p.st.Fragments = 1
 			if !deltas.Empty() {
 				if sc.sc.dsc == nil {
 					sc.sc.dsc = frag.NewDeltaScratch()

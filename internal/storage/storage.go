@@ -50,8 +50,10 @@ type Store struct {
 	spec      *frag.Spec
 	pageSize  int
 	tupleSize int
-	file      *os.File
-	dir       map[int64]FragLoc
+	// fact maps the fact file once it is fully written; every physical
+	// page read copies out of it (see mmap.go).
+	fact *mappedFile
+	dir  map[int64]FragLoc
 	// order holds the non-empty fragment ids in allocation order.
 	order []int64
 	// ioDelay is an optional simulated disk access time (ns) added to
@@ -96,9 +98,12 @@ func (s *Store) SetIODelay(d time.Duration) {
 	s.ioDelay.Store(int64(d))
 }
 
+// measureBytes is the size of a tuple's three int32 measures.
+const measureBytes = 12
+
 // TupleSize returns the on-disk tuple size for a schema: 2 bytes per
 // dimension key plus 12 bytes of measures.
-func TupleSize(star *schema.Star) int { return 2*len(star.Dims) + 12 }
+func TupleSize(star *schema.Star) int { return 2*len(star.Dims) + measureBytes }
 
 // TuplesPerPage returns how many tuples fit one page.
 func TuplesPerPage(star *schema.Star) int { return star.PageSize / TupleSize(star) }
@@ -140,7 +145,6 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.file = f
 
 	tpp := TuplesPerPage(star)
 	page := make([]byte, s.pageSize)
@@ -174,6 +178,9 @@ func Build(dirPath string, t *data.Table, spec *frag.Spec) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
+	if s.fact, err = mapFile(f); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -198,16 +205,31 @@ type Tuple struct {
 
 // decodeTuple reads the tuple at off; keys must have len(star.Dims).
 func (s *Store) decodeTuple(page []byte, off int, keys []uint16) (Tuple, int) {
-	var tp Tuple
+	decodeKeys(page, off, keys)
+	off += 2 * len(keys)
+	u, d, c := measuresAt(page, off)
+	return Tuple{Keys: keys, UnitsSold: int32(u), DollarSales: int32(d), Cost: int32(c)}, off + measureBytes
+}
+
+// decodeKeys reads the dimension keys of the tuple at off into keys.
+func decodeKeys(page []byte, off int, keys []uint16) {
 	for d := range keys {
-		keys[d] = binary.LittleEndian.Uint16(page[off:])
-		off += 2
+		keys[d] = binary.LittleEndian.Uint16(page[off+2*d:])
 	}
-	tp.Keys = keys
-	tp.UnitsSold = int32(binary.LittleEndian.Uint32(page[off:]))
-	tp.DollarSales = int32(binary.LittleEndian.Uint32(page[off+4:]))
-	tp.Cost = int32(binary.LittleEndian.Uint32(page[off+8:]))
-	return tp, off + 12
+}
+
+// keyAt reads dimension dim's key of the tuple at off.
+func keyAt(page []byte, off, dim int) uint16 {
+	return binary.LittleEndian.Uint16(page[off+2*dim:])
+}
+
+// measuresAt reads the three measures starting at byte m — a tuple's
+// offset plus its 2·len(Dims) key bytes — without touching the keys.
+func measuresAt(page []byte, m int) (units, dollars, cost int64) {
+	b := page[m : m+measureBytes]
+	return int64(int32(binary.LittleEndian.Uint32(b))),
+		int64(int32(binary.LittleEndian.Uint32(b[4:]))),
+		int64(int32(binary.LittleEndian.Uint32(b[8:])))
 }
 
 // writeMeta persists the directory: magic, version, page size, #frags,
@@ -306,12 +328,15 @@ func Open(dirPath string, star *schema.Star, spec *frag.Spec) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.file = f
+	if s.fact, err = mapFile(f); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
-// Close releases the underlying file.
-func (s *Store) Close() error { return s.file.Close() }
+// Close unmaps the fact file once in-flight reads finish. It is
+// idempotent; later reads fail with an error wrapping os.ErrClosed.
+func (s *Store) Close() error { return s.fact.close() }
 
 // NumFragments returns the number of non-empty fragments stored.
 func (s *Store) NumFragments() int { return len(s.order) }
@@ -365,7 +390,7 @@ func (s *Store) ReadPagesCtx(ctx context.Context, buf []byte, id int64, start, c
 				time.Sleep(time.Duration(d))
 			}
 		}
-		if _, err := s.file.ReadAt(buf, byteOff); err != nil {
+		if err := s.fact.readAt(buf, byteOff); err != nil {
 			return fmt.Errorf("storage: reading %d fact pages of fragment %d at offset %d: %w", count, id, byteOff, err)
 		}
 		return nil
@@ -418,6 +443,9 @@ func (s *Store) ReadGranule(buf []byte, id int64, start, count int) (data []byte
 // the retry/verification semantics of the miss path; pool hits never
 // touch the disk and need no verification).
 func (s *Store) ReadGranuleCtx(ctx context.Context, buf []byte, id int64, start, count int) (data []byte, ent *PoolEntry, hit bool, err error) {
+	if s.fact.isClosed() {
+		return nil, nil, false, errClosedRead("fact")
+	}
 	if s.pool == nil {
 		data, err = s.ReadPagesCtx(ctx, buf, id, start, count)
 		return data, nil, false, err

@@ -85,8 +85,11 @@ type Stats struct {
 	// the query's own work, byte-identical to solo execution.
 	SharedScan SharedScanStats
 
-	// Engine holds the in-memory engine's work counters
-	// (fragments/rows/bitmaps).
+	// Engine holds the work counters (fragments/rows/bitmaps). The
+	// in-memory engine fills every field; on the on-disk backends only
+	// FragmentsProcessed is set — the same relevant-fragment count the
+	// in-memory engine reports for the query, on the solo and the
+	// shared-scan paths alike — and the row and bitmap work is in IO.
 	Engine EngineStats
 	// IO holds the on-disk executor's physical I/O counters.
 	IO StorageIOStats
@@ -354,6 +357,7 @@ func (p *PreparedQuery) executeSoloOn(ctx context.Context, snap snapshot) (Resul
 		return Result{}, Stats{}, err
 	}
 	st.IO = io
+	st.Engine.FragmentsProcessed = int(io.Fragments)
 	st.DeltaRows = io.DeltaRows
 	if snap.b.be.Disks != nil {
 		st.Disks = snap.b.be.Disks.Stats()

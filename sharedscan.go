@@ -127,6 +127,7 @@ func (w *Warehouse) runSharedBatch(ctx context.Context, snap snapshot, items []s
 			}
 			st := w.baseStats(snap)
 			st.IO = r.St
+			st.Engine.FragmentsProcessed = int(r.St.Fragments)
 			st.DeltaRows = r.St.DeltaRows
 			if snap.b.be.Disks != nil {
 				st.Disks = snap.b.be.Disks.Stats()

@@ -93,6 +93,76 @@ func TestWarehouseBackendsMatchScan(t *testing.T) {
 	}
 }
 
+// TestFragmentsProcessedAgreeAcrossBackends checks that the on-disk
+// backends report Stats.Engine.FragmentsProcessed, and that the count is
+// the in-memory engine's for every query class Q1-Q4 and an unsupported
+// query, on the solo and the shared-scan paths alike.
+func TestFragmentsProcessedAgreeAcrossBackends(t *testing.T) {
+	ctx := context.Background()
+	star := TinySchema()
+	tab := MustGenerateData(star, 8)
+	queries := warehouseQueries(t, star)
+	open := func(opts ...Option) *Warehouse {
+		t.Helper()
+		w, err := Open(ctx, Config{
+			Star:          star,
+			Fragmentation: "time::month, product::group",
+			Table:         tab,
+		}, append([]Option{WithWorkers(4)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		return w
+	}
+	oracle := open()
+	want := map[string]int{}
+	for qname, q := range queries {
+		_, st, err := oracle.Query(q).Execute(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", qname, err)
+		}
+		if st.Engine.FragmentsProcessed == 0 {
+			t.Fatalf("%s: in-memory engine visited no fragment", qname)
+		}
+		want[qname] = st.Engine.FragmentsProcessed
+	}
+	cases := []struct {
+		name string
+		opts []Option
+	}{
+		{"on-disk", []Option{WithOnDisk("")}},
+		{"on-disk/compressed", []Option{WithOnDisk(""), WithCompression()}},
+		{"declustered", []Option{WithDisks(4, RoundRobin)}},
+		{"declustered/compressed", []Option{WithDisks(3, GapRoundRobin), WithCompression()}},
+	}
+	for _, tc := range cases {
+		for _, shared := range []bool{false, true} {
+			name, opts := tc.name, tc.opts
+			if shared {
+				// A lone query still runs as a batch of one on the shared path.
+				name += "/shared"
+				opts = append(append([]Option(nil), opts...), WithSharedScans(50*time.Microsecond))
+			}
+			t.Run(name, func(t *testing.T) {
+				w := open(opts...)
+				for qname, q := range queries {
+					_, st, err := w.Query(q).Execute(ctx)
+					if err != nil {
+						t.Fatalf("%s: %v", qname, err)
+					}
+					if shared && st.SharedScan.Batched == 0 {
+						t.Fatalf("%s: execution bypassed the shared path", qname)
+					}
+					if got := st.Engine.FragmentsProcessed; got != want[qname] {
+						t.Fatalf("%s: FragmentsProcessed = %d, in-memory engine reports %d", qname, got, want[qname])
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestWarehouseConcurrentMatchesSerial is the serving guarantee: M
 // goroutines hammering the declustered backend get results byte-identical
 // to one-at-a-time execution, and the per-query IOStats match too.
